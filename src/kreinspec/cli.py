@@ -146,15 +146,25 @@ def _sphere_params(cfg, default_theta=torus.GOLDEN_THETA):
         raise ConfigError(str(exc)) from None
 
 
-def _suq2_params(cfg):
+# verify's SU_q(2) ladder runs from max(3, Jcut/2) up to Jcut, so a second
+# rung exists only for cutoffs above 3.
+SUQ2_LADDER_BASE = 3.0
+SUQ2_VERIFY_MIN_JCUT = SUQ2_LADDER_BASE + 0.5
+
+
+def _suq2_params(cfg, min_jcut=None):
     try:
-        return suq2.SuqParams.reduced(
+        p = suq2.SuqParams.reduced(
             q=float(cfg.get("q", 0.5)),
             r=float(cfg.get("r", 1.0)),
             S=float(cfg.get("S_q", cfg.get("S", 1.0))),
             J_cut=float(cfg.get("Jcut", 6.0)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if min_jcut is not None and p.J_cut < min_jcut:
+        raise ConfigError(f"Jcut {p.J_cut:g} is below {min_jcut:g}, the smallest "
+                          "cutoff with a two-rung truncation ladder")
+    return p
 
 
 def _write(text, out_path):
@@ -212,9 +222,9 @@ def cmd_verify(args):
             {"verdict": probe["verdict"],
              "expected_compact": p.R * abs(p.S) != 0.0}))
     elif geometry == "suq2":
-        p = _suq2_params(cfg)
+        p = _suq2_params(cfg, min_jcut=SUQ2_VERIFY_MIN_JCUT)
         bundle = suq2.build_suq2(p)
-        half = max(3.0, p.J_cut / 2.0)
+        half = max(SUQ2_LADDER_BASE, p.J_cut / 2.0)
         ladder = suq2.suq2_ladder(p, sorted({half, p.J_cut}))
         report = run_suite(bundle, ladder=ladder)
         _demote_preasymptotic_ladder(report, "suq2", half)

@@ -1,5 +1,6 @@
 """Sparse complex operators on finite truncations, plus the small dense
-eigensolvers, null-space extraction and norm estimation used everywhere else.
+eigensolvers, null-space extraction and exact block-sparse norms used
+everywhere else.
 
 All operators here are banded or shift-like, so the sparse format is a
 column-major adjacency (column -> list of (row, value)).  Values are
@@ -13,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 
 # Entries below DEDUP_RTOL * (largest modulus) are dropped on construction.
 DEDUP_RTOL = 1e-14
 DENSE_EIG_CAP = 4096
-DENSE_NORM_CUTOFF = 192
 
 
 class DimensionMismatch(ValueError):
@@ -346,63 +347,100 @@ def nullspace(rows, tol: float = 1e-9) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _subspace_norm(m, mh, dim, tol, block=12, iters=400):
-    """Largest singular value by block subspace iteration on a^dagger a.
+def _members(labels, ncomp):
+    """Indices grouped by component label, in increasing index order.
 
-    A block of Ritz vectors keeps degenerate or clustered top singular
-    values from stalling the classic single-vector power iteration; the
-    start block is fixed, so the result is deterministic.
+    Returns (order, starts, counts, local): component k holds
+    order[starts[k]:starts[k] + counts[k]], and local[i] is the position of
+    index i inside its component.
     """
-    block = min(block, dim)
-    rng = np.random.default_rng(1618033988)
-    v = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
-    v, _ = np.linalg.qr(v)
-    est = 0.0
-    for _ in range(iters):
-        w = mh @ (m @ v)
-        top = np.linalg.norm(w, 2)
-        if top == 0.0:
-            return 0.0
-        new = np.sqrt(top)
-        v, _ = np.linalg.qr(w)
-        if abs(new - est) <= tol * max(new, 1e-300):
-            return float(new)
-        est = new
-    return float(est)
+    order = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels, minlength=ncomp)
+    starts = np.cumsum(counts) - counts
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size) - starts[labels[order]]
+    return order, starts, counts, local
 
 
-def _monomial_max(a: LinOp):
-    """max |entry| when no row and no column carries two entries (then it
-    equals the operator norm exactly), else None."""
-    m = a.csc()
-    col_counts = np.diff(m.indptr)
-    if col_counts.max(initial=0) > 1:
-        return None
-    if np.bincount(m.indices, minlength=a.dim).max(initial=0) > 1:
-        return None
-    return float(np.abs(m.data).max())
+def block_stacks(mat, square: bool = False):
+    """Dense blocks of a sparse matrix, one per connected component.
+
+    Rows and columns are the nodes of a graph whose edges are the nonzeros;
+    up to row and column permutations the matrix is the direct sum of the
+    blocks mat[rows, cols] of its components, so its singular values are
+    the union of theirs.  Components without a nonzero are dropped.  With
+    square=True row i and column i are one node: every block is then a
+    principal submatrix (a Hermitian matrix's eigenvalues are the union of
+    its blocks') and every index lands in a block, an empty one as a 1x1
+    zero.
+
+    Blocks of equal shape come back stacked, as (rows, cols, blocks) with
+    shapes (k, r), (k, c) and (k, r, c), ready for batched LAPACK.  A
+    component with more than DENSE_EIG_CAP rows or columns raises
+    DimensionMismatch.
+    """
+    m = sp.coo_matrix(mat)
+    m.sum_duplicates()
+    n_rows, n_cols = m.shape
+    if square:
+        graph = sp.coo_matrix((np.ones(m.nnz), (m.row, m.col)), shape=m.shape)
+        ncomp, row_comp = csgraph.connected_components(graph, directed=False)
+        col_comp = row_comp
+    else:
+        size = n_rows + n_cols
+        graph = sp.coo_matrix((np.ones(m.nnz), (m.row, n_rows + m.col)), shape=(size, size))
+        ncomp, labels = csgraph.connected_components(graph, directed=False)
+        row_comp, col_comp = labels[:n_rows], labels[n_rows:]
+    if ncomp == 0:
+        return []
+    row_members = _members(row_comp, ncomp)
+    col_members = row_members if square else _members(col_comp, ncomp)
+    row_order, row_start, row_count, row_local = row_members
+    col_order, col_start, col_count, col_local = col_members
+    widest = int(np.argmax(np.maximum(row_count, col_count)))
+    if max(row_count[widest], col_count[widest]) > DENSE_EIG_CAP:
+        raise DimensionMismatch(
+            f"component of {row_count[widest]}x{col_count[widest]} exceeds "
+            f"dense cap {DENSE_EIG_CAP}")
+    live = np.flatnonzero((row_count > 0) & (col_count > 0))
+    keys, group = np.unique(row_count[live] * (n_cols + 1) + col_count[live],
+                            return_inverse=True)
+    entry_comp = row_comp[m.row]
+    comp_group = np.full(ncomp, -1)
+    comp_group[live] = group
+    entry_group = comp_group[entry_comp]
+    slot = np.zeros(ncomp, dtype=np.intp)
+    out = []
+    for g, (r, c) in enumerate(zip(*np.divmod(keys, n_cols + 1))):
+        comps = live[group == g]
+        slot[comps] = np.arange(comps.size)
+        sel = entry_group == g
+        blocks = np.zeros((comps.size, r, c), dtype=np.complex128)
+        blocks[slot[entry_comp[sel]], row_local[m.row[sel]], col_local[m.col[sel]]] = m.data[sel]
+        rows = row_order[row_start[comps][:, None] + np.arange(r)]
+        cols = col_order[col_start[comps][:, None] + np.arange(c)]
+        out.append((rows, cols, blocks))
+    return out
 
 
-def op_norm(a: LinOp, tol: float = 1e-8) -> float:
-    """Largest singular value within relative tol.
+def op_norm(a: LinOp) -> float:
+    """Largest singular value, exact up to rounding.
 
-    Exact shortcuts: monomial operators (all shift-like operators and their
-    commutator words here) give max |entry|; when the rigorous bound
-    sqrt(norm1 * norminf) is below 1e-12 that bound is returned, which is
-    the regime of pure roundoff violations.  Otherwise dense for small
-    dims, else deterministic block subspace iteration on a^dagger a.
+    When the rigorous bound sqrt(norm1 * norminf) is below 1e-12 that bound
+    is returned, which is the regime of pure roundoff violations.
+    Otherwise the norm is the largest singular value over the blocks of
+    block_stacks, by batched SVD; monomial operators (all shift-like
+    operators and their commutator words here) give 1x1 blocks, whose norm
+    is the modulus of the entry.
     """
     if a.nnz == 0:
         return 0.0
-    mono = _monomial_max(a)
-    if mono is not None:
-        return mono
     m = a.csc()
     absm = abs(m)
     schur = float(np.sqrt(absm.sum(axis=0).max() * absm.sum(axis=1).max()))
     if schur <= 1e-12:
         return schur
-    if a.dim <= DENSE_NORM_CUTOFF:
-        return float(np.linalg.norm(a.to_dense(), 2))
-    mh = m.conjugate().transpose().tocsr()
-    return _subspace_norm(m, mh, a.dim, tol)
+    norms = [np.abs(blocks[:, 0, 0]) if blocks.shape[1:] == (1, 1)
+             else np.linalg.norm(blocks, 2, axis=(1, 2))
+             for _, _, blocks in block_stacks(m)]
+    return float(max(n.max() for n in norms))

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .linalg import (
     AntiLinOp,
     LinOp,
+    block_stacks,
     commutator,
     conj_by_antilinear,
     masked_columns,
@@ -328,50 +328,27 @@ def _mean_square(dirac: LinOp) -> LinOp:
     return 0.5 * (dirac @ da + da @ dirac)
 
 
-def _dense_components(h: LinOp):
-    """Connected components of the sparsity graph as (indices, dense block)
-    pairs, gathered in one pass over the nonzeros."""
-    m = h.csc()
-    dim = h.dim
-    pattern = sp.csr_matrix((np.ones_like(m.data.real), m.indices, m.indptr),
-                            shape=m.shape)
-    ncomp, labels = csgraph.connected_components(pattern, directed=False)
-    order = np.argsort(labels, kind="stable")
-    counts = np.bincount(labels, minlength=ncomp)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    local = np.zeros(dim, dtype=np.int64)
-    for comp in range(ncomp):
-        local[order[starts[comp]:starts[comp + 1]]] = np.arange(counts[comp])
-    blocks = [np.zeros((c, c), dtype=complex) for c in counts]
-    indptr, indices, data = m.indptr, m.indices, m.data
-    for c in range(dim):
-        lo, hi = indptr[c], indptr[c + 1]
-        if hi == lo:
-            continue
-        comp = labels[c]
-        lc = local[c]
-        blk = blocks[comp]
-        for k in range(lo, hi):
-            blk[local[indices[k]], lc] = data[k]
-    return [(order[starts[i]:starts[i + 1]], blocks[i]) for i in range(ncomp)]
+def _symmetrized_stacks(h: LinOp):
+    """block_stacks of a Hermitian h, each block symmetrized against
+    roundoff, as (indices, blocks) pairs."""
+    return [(idx, 0.5 * (blocks + blocks.conj().transpose(0, 2, 1)))
+            for idx, _, blocks in block_stacks(h.csc(), square=True)]
 
 
 def _sqrt_psd(h: LinOp, tol: float) -> LinOp:
     scale = max(1.0, h.max_entry())
     rows, cols, vals = [], [], []
-    for idx, block in _dense_components(h):
-        block = 0.5 * (block + block.conj().T)
-        evals, evecs = np.linalg.eigh(block)
+    for idx, blocks in _symmetrized_stacks(h):
+        evals, evecs = np.linalg.eigh(blocks)
         if evals.min() < -tol * scale:
             raise ValueError(f"negative eigenvalue {evals.min():.3g} in mean square")
-        root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-        nz = np.nonzero(root)
-        rows.extend(idx[nz[0]])
-        cols.extend(idx[nz[1]])
-        vals.extend(root[nz])
-    mat = sp.coo_matrix((np.asarray(vals, dtype=complex),
-                         (np.asarray(rows, dtype=np.int64),
-                          np.asarray(cols, dtype=np.int64))),
+        root = (evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]) \
+            @ evecs.conj().transpose(0, 2, 1)
+        k, i, j = np.nonzero(root)
+        rows.append(idx[k, i])
+        cols.append(idx[k, j])
+        vals.append(root[k, i, j])
+    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                         shape=(h.dim, h.dim))
     return LinOp(h.dim, _mat=mat)
 
@@ -379,14 +356,8 @@ def _sqrt_psd(h: LinOp, tol: float) -> LinOp:
 def abs_dirac_eigenvalues(bundle: TripleBundle) -> np.ndarray:
     """Ascending eigenvalues of <D> without assembling the square root."""
     h = _mean_square(bundle.dirac)
-    out = np.zeros(h.dim)
-    pos = 0
-    for _, block in _dense_components(h):
-        block = 0.5 * (block + block.conj().T)
-        evals = np.linalg.eigvalsh(block)
-        out[pos:pos + block.shape[0]] = np.sqrt(np.clip(evals, 0.0, None))
-        pos += block.shape[0]
-    return np.sort(out)
+    evals = [np.linalg.eigvalsh(blocks).ravel() for _, blocks in _symmetrized_stacks(h)]
+    return np.sort(np.sqrt(np.clip(np.concatenate(evals), 0.0, None)))
 
 
 def check_regularity(bundle: TripleBundle) -> AxiomReport:

@@ -51,6 +51,14 @@ def test_verify_suq2_order_one_reported_not_asserted():
     assert entry["violation"] > 1e-3
 
 
+@pytest.mark.parametrize("jcut", ["1", "2.5", "3"])
+def test_verify_suq2_cutoff_without_ladder_is_config_error(jcut):
+    rc, out, err = run_cli("verify", "--geometry", "suq2", "--Jcut", jcut)
+    assert rc == 2
+    assert out == ""
+    assert "two-rung" in err and "Traceback" not in err
+
+
 def test_spectrum_sphere_axes():
     rc, out, _ = run_cli("spectrum", "--geometry", "sphere", "--theta", "0",
                          "--R", "0", "--S", "1", "--L", "2")

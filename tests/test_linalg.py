@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinspec.linalg import (
     AntiLinOp,
     DimensionMismatch,
+    DENSE_EIG_CAP,
     LinOp,
     NonHermitianInput,
     adjoint,
     anticommutator,
+    block_stacks,
     commutator,
     compose,
     conj_by_antilinear,
@@ -235,7 +240,47 @@ def test_op_norm_matches_dense_svd_large():
     rng = np.random.default_rng(29)
     dense = rng.standard_normal((300, 300)) * (rng.random((300, 300)) < 0.02)
     a = LinOp.from_dense(dense)
-    assert op_norm(a, tol=1e-10) == pytest.approx(opnorm_dense(a), rel=1e-6)
+    assert op_norm(a) == pytest.approx(opnorm_dense(a), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_op_norm_exact_on_permuted_block_diagonal(shapes, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+    diag = sp.block_diag(blocks).toarray()
+    dim = max(diag.shape)
+    dense = np.zeros((dim, dim), dtype=complex)
+    dense[:diag.shape[0], :diag.shape[1]] = diag
+    dense = dense[rng.permutation(dim)][:, rng.permutation(dim)]
+    got = op_norm(LinOp.from_dense(dense))
+    assert got == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+
+
+def test_block_stacks_reassemble_the_matrix():
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.03)
+    for square in (False, True):
+        rebuilt = np.zeros_like(dense)
+        seen = []
+        for rows, cols, blocks in block_stacks(sp.csc_matrix(dense), square=square):
+            assert blocks.shape == rows.shape + cols.shape[1:]
+            for r, c, blk in zip(rows, cols, blocks):
+                rebuilt[np.ix_(r, c)] += blk.real
+                seen.extend(r)
+        assert np.array_equal(rebuilt, dense)
+        if square:
+            assert sorted(seen) == list(range(40))  # every index in one block
+
+
+def test_op_norm_rejects_oversize_component():
+    dim = DENSE_EIG_CAP + 1
+    chain = shift(dim, 1) + LinOp.identity(dim)
+    with pytest.raises(DimensionMismatch, match=f"{dim}x{dim}"):
+        op_norm(chain)
+    # roundoff-level violations keep the rigorous Schur bound
+    assert 0.0 < op_norm(1e-14 * chain) <= 2e-14
 
 
 def test_masked_columns():

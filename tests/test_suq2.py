@@ -16,6 +16,16 @@ from kreinspec.suq2 import (
 from kreinspec.triples import check_order_one, run_suite
 
 
+def test_one_form_norm_is_exact():
+    # [D, pi(a)] on the depth-1 interior at Jcut=5 has clustered top
+    # singular values, where iterative estimates stop short of the norm.
+    b = build_suq2(SuqParams.reduced(q=0.5, J_cut=5.0))
+    op = masked_columns(commutator(b.dirac, b.generator("a")), b.truncation.interior(1))
+    want = np.linalg.norm(op.to_dense(), 2)
+    assert want == pytest.approx(0.7905695, abs=1e-7)
+    assert op_norm(op) == pytest.approx(want, rel=1e-12)
+
+
 def test_qnumbers():
     assert qnum(2, 0.5) == pytest.approx(2.5)  # q + 1/q
     assert qnum(0, 0.5) == 0.0

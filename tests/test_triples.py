@@ -87,6 +87,18 @@ def test_abs_dirac_torus_values():
     assert int(np.sum(np.abs(vals - 1.0) < 1e-12)) >= 2  # both spins at (1,1)
 
 
+def test_abs_dirac_matches_dense_eigh():
+    b = build_torus(TorusParams(N=6))
+    d = b.dirac.to_dense()
+    h = 0.5 * (d @ d.conj().T + d.conj().T @ d)
+    evals, evecs = np.linalg.eigh(h)
+    roots = np.sqrt(np.clip(evals, 0.0, None))
+    scale = roots.max()
+    root = (evecs * roots) @ evecs.conj().T
+    assert np.abs(abs_dirac(b).to_dense() - root).max() <= 1e-12 * scale
+    assert np.abs(abs_dirac_eigenvalues(b) - roots).max() <= 1e-12 * scale
+
+
 def test_compact_probe_torus_verdicts():
     elliptic = torus_ladder(TorusParams(theta=0.0, N=4), [4, 6, 8])
     assert compact_resolvent_probe(elliptic, [0.5, 1.5])["verdict"] == "compact-consistent"
